@@ -3,8 +3,9 @@
 Measures the throughput numbers the ISSUE/ROADMAP track — engine
 steps/s (kernel fast path *and* reference interpreter), batch-ensemble
 speedup over serial sweeps, MCU event dispatch events/s, packet-codec
-round-trips/s, fault-campaign cells/s (serial and parallel) — and
-writes them to ``BENCH_substrates.json`` next to this file.
+round-trips/s, Q15 quantization samples/s, fault-campaign cells/s
+(serial and parallel) — and writes them to ``BENCH_substrates.json``
+next to this file.
 
 Regression gating (``--check``) compares against the committed JSON
 before overwriting it.  Because CI machines differ wildly in absolute
@@ -32,9 +33,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
+import shutil
 import sys
+import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -86,6 +92,23 @@ def _calibrate(n: int = 2_000_000) -> float:
     return dt
 
 
+@contextmanager
+def _private_native_cache():
+    """Point ``REPRO_NATIVE_CACHE`` at a throwaway directory, so native
+    legs start cold and leave no artifacts behind."""
+    prev = os.environ.get("REPRO_NATIVE_CACHE")
+    tmp = tempfile.mkdtemp(prefix="repro-native-bench-")
+    os.environ["REPRO_NATIVE_CACHE"] = tmp
+    try:
+        yield
+    finally:
+        if prev is None:
+            os.environ.pop("REPRO_NATIVE_CACHE", None)
+        else:
+            os.environ["REPRO_NATIVE_CACHE"] = prev
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def bench_engine(use_kernels: bool, t_final: float = 0.5) -> dict:
     from repro.casestudy import ServoConfig, build_servo_model
     from repro.model import Simulator, SimulationOptions
@@ -125,10 +148,6 @@ def bench_native(t_final: float = 0.5) -> dict:
     must be bit-identical, and the cache stats must show exactly one
     miss then one hit.
     """
-    import os
-    import shutil
-    import tempfile
-
     import numpy as np
 
     from repro.casestudy import ServoConfig, build_servo_model
@@ -164,21 +183,12 @@ def bench_native(t_final: float = 0.5) -> dict:
             "python_steps_per_s": n_steps / run_s,
         }
 
-    prev = os.environ.get("REPRO_NATIVE_CACHE")
-    tmp = tempfile.mkdtemp(prefix="repro-native-bench-")
-    os.environ["REPRO_NATIVE_CACHE"] = tmp
-    try:
+    with _private_native_cache():
         before = native_cache_stats()
         _, py_res, _, py_run_s = timed_run(False)
         cold_sim, cold_res, cold_init_s, cold_run_s = timed_run(True)
         warm_sim, warm_res, warm_init_s, warm_run_s = timed_run(True)
         stats = native_cache_stats()
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_NATIVE_CACHE", None)
-        else:
-            os.environ["REPRO_NATIVE_CACHE"] = prev
-        shutil.rmtree(tmp, ignore_errors=True)
 
     bit_identical = py_res.names == warm_res.names and all(
         np.array_equal(py_res[name], warm_res[name])
@@ -208,18 +218,26 @@ def bench_native(t_final: float = 0.5) -> dict:
 
 
 def bench_batch_ensemble(n_lanes: int = 32, t_final: float = 0.25) -> dict:
-    """Batched scenario ensemble vs the best serial sweep on the servo.
+    """Batched scenario ensemble vs serial sweeps on the servo.
 
-    The serial baseline reuses one compiled model across all lanes with
-    the kernel fast path on — compilation already amortized, i.e. the
-    strongest sequential opponent.  The batch side pays for everything:
-    planning, lane cloning, and the run itself.  Lanes must come back
-    bit-identical to their serial runs or the whole bench is void.
+    The gated serial baseline is the Python-kernel sweep: one compiled
+    model reused across all lanes with the kernel fast path on and
+    ``native=False``, so compilation is already amortized.  The batch
+    side pays for everything: planning, lane cloning, and the run
+    itself.  Lanes must come back bit-identical to their serial runs or
+    the whole bench is void.
+
+    A second, ungated serial leg runs the same scenarios with
+    ``native=True`` on warm artifacts (``native_serial_s``,
+    ``batch_speedup_vs_native``).  Block parameters are compiled in as
+    literals, so each scenario has its own artifact; an untimed pass
+    compiles them into a private cache first.
     """
     import numpy as np
 
     from repro.casestudy import ServoConfig, build_servo_model
     from repro.model import BatchSimulator, SimulationOptions, Simulator
+    from repro.native import find_cc
 
     dt = 1e-4
     scenarios = [
@@ -227,20 +245,25 @@ def bench_batch_ensemble(n_lanes: int = 32, t_final: float = 0.25) -> dict:
     ]
 
     cm = build_servo_model(ServoConfig(setpoint=100.0)).model.compile(dt)
-    t0 = time.perf_counter()
-    serial = []
-    for overrides in scenarios:
-        for qname, attrs in overrides.items():
-            for attr, value in attrs.items():
-                setattr(cm.nodes[qname], attr, value)
-        serial.append(
-            Simulator(
+
+    def serial_sweep(native: bool) -> list:
+        """``(sim, result)`` per scenario, in scenario order."""
+        runs = []
+        for overrides in scenarios:
+            for qname, attrs in overrides.items():
+                for attr, value in attrs.items():
+                    setattr(cm.nodes[qname], attr, value)
+            sim = Simulator(
                 cm,
                 SimulationOptions(
-                    dt=dt, t_final=t_final, use_kernels=True, native=False
+                    dt=dt, t_final=t_final, use_kernels=True, native=native
                 ),
-            ).run()
-        )
+            )
+            runs.append((sim, sim.run()))
+        return runs
+
+    t0 = time.perf_counter()
+    serial = [res for _sim, res in serial_sweep(False)]
     serial_s = time.perf_counter() - t0
 
     cm_batch = build_servo_model(ServoConfig(setpoint=100.0)).model.compile(dt)
@@ -256,6 +279,17 @@ def bench_batch_ensemble(n_lanes: int = 32, t_final: float = 0.25) -> dict:
         for b, ref in enumerate(serial)
         for name in ref.names
     )
+
+    native_serial_s = None
+    if find_cc() is not None:
+        with _private_native_cache():
+            serial_sweep(True)  # untimed: one compile per scenario
+            t0 = time.perf_counter()
+            runs = serial_sweep(True)
+            elapsed = time.perf_counter() - t0
+        if all(nsim.native_active for nsim, _res in runs):
+            native_serial_s = elapsed
+
     n_steps = int(batched.t.shape[0])
     return {
         "lanes": n_lanes,
@@ -263,6 +297,10 @@ def bench_batch_ensemble(n_lanes: int = 32, t_final: float = 0.25) -> dict:
         "serial_s": serial_s,
         "batch_s": batch_s,
         "batch_speedup_vs_serial": serial_s / batch_s,
+        "native_serial_s": native_serial_s,
+        "batch_speedup_vs_native": (
+            native_serial_s / batch_s if native_serial_s else None
+        ),
         "lane_steps_per_s": n_lanes * n_steps / batch_s,
         "bit_identical": bit_identical,
         "lanes_diverged": sim.lanes_diverged,
@@ -443,7 +481,6 @@ def bench_lane_compaction(n_lanes: int = 16, t_final: float = 0.4) -> dict:
         "fused_lane_dispatches": stats["fused_lane_dispatches"],
         "perlane_dispatches_off": sim_off.compaction_stats["perlane_dispatches"],
         "identical_with_compaction_off": identical,
-        "array_backend": sim_on.plan_stats["array_backend"],
     }
 
 
@@ -548,6 +585,23 @@ def bench_codec(n: int = 20_000) -> float:
     elapsed = time.perf_counter() - t0
     assert len(dec.packets) == n
     return n / elapsed
+
+
+def bench_fixpt(n: int = 100_000, repeats: int = 20) -> dict:
+    """Vectorized Q15 quantization of an ``n``-sample trajectory (median
+    of ``repeats`` calls; reported, not gated)."""
+    import numpy as np
+
+    from repro.fixpt import Q15, quantize_array
+
+    data = np.random.default_rng(0).uniform(-1, 1, size=n)
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        quantize_array(data, Q15)
+        times.append(time.perf_counter() - t0)
+    times.sort()
+    return {"samples": n, "quantize_samples_per_s": n / times[repeats // 2]}
 
 
 def _make_pil(reliable: bool):
@@ -750,6 +804,7 @@ BENCHES = {
     "batch": lambda workers: bench_batch_ensemble(),
     "events": lambda workers: {"events_per_s": bench_events()},
     "codec": lambda workers: {"roundtrips_per_s": bench_codec()},
+    "fixpt": lambda workers: bench_fixpt(),
     "campaign": bench_campaign,
     "fuzz": bench_fuzz_throughput,
     "service": lambda workers: bench_service(),
@@ -780,6 +835,9 @@ def measure(workers: int, only: list[str] | None = None) -> dict:
     for name, fn in BENCHES.items():
         if only and name not in only:
             continue
+        # start every leg from a collected heap, so one leg's garbage is
+        # not collected on a later leg's clock
+        gc.collect()
         report[name] = fn(workers)
     # machine-portable forms: throughput x spin-time (per-spin units)
     report["normalized"] = {
@@ -1015,10 +1073,19 @@ def main(argv=None) -> int:
             f"{bat['vectorized_fraction']:.0%} vectorized, "
             f"bit_identical={bat['bit_identical']})"
         )
+        if bat["native_serial_s"] is not None:
+            print(
+                f"        {bat['batch_speedup_vs_native']:.2f}x over the "
+                f"warm native serial sweep ({bat['native_serial_s']:.3f} s, "
+                f"ungated)"
+            )
     if "events" in fresh:
         print(f"events: {fresh['events']['events_per_s']:.0f} events/s")
     if "codec" in fresh:
         print(f"codec:  {fresh['codec']['roundtrips_per_s']:.0f} round-trips/s")
+    if "fixpt" in fresh:
+        print(f"fixpt:  {fresh['fixpt']['quantize_samples_per_s']:.0f} "
+              f"Q15 samples/s quantized (ungated)")
     if "campaign" in fresh:
         camp = fresh["campaign"]
         print(
@@ -1055,7 +1122,7 @@ def main(argv=None) -> int:
         print(
             f"compaction: {comp['recovered_lane_steps']} recovered lane-steps "
             f"({comp['compaction_speedup']:.2f}x vs per-lane fallback on "
-            f"{comp['lanes']} lanes, backend={comp['array_backend']})"
+            f"{comp['lanes']} lanes)"
         )
     if "obs" in fresh:
         obs = fresh["obs"]

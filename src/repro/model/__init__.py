@@ -26,15 +26,6 @@ from .compiled import CompiledModel
 from .engine import Simulator, SimulationOptions
 from .result import SimulationResult, BatchSimulationResult
 from .batch import BatchSimulator, BatchScenario, BatchPlanError, simulate_batch
-from .array_backend import (
-    ArrayBackend,
-    BackendUnavailable,
-    backend_available,
-    backend_names,
-    get_array_backend,
-    register_backend,
-    set_array_backend,
-)
 from .diagnostics import (
     ModelError,
     AlgebraicLoopError,
@@ -72,13 +63,6 @@ __all__ = [
     "BatchScenario",
     "BatchPlanError",
     "simulate_batch",
-    "ArrayBackend",
-    "BackendUnavailable",
-    "backend_available",
-    "backend_names",
-    "get_array_backend",
-    "register_backend",
-    "set_array_backend",
     "ModelError",
     "AlgebraicLoopError",
     "UnconnectedPortError",

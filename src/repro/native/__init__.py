@@ -14,8 +14,6 @@ increments ``kernel_fallback_total{reason=...}``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .cache import (
     ToolchainError,
     compiler_fingerprint,
@@ -40,9 +38,7 @@ __all__ = [
     "NativePath",
     "NativeTemplate",
     "ToolchainError",
-    "build_native_path",
     "compiler_fingerprint",
-    "count_fallback",
     "doc_hash_for",
     "ensure_compiled",
     "ensure_installed",
@@ -50,27 +46,6 @@ __all__ = [
     "generate_program",
     "native_cache_stats",
 ]
-
-#: the fallback-reason taxonomy surfaced on ``kernel_fallback_total``
-FALLBACK_REASONS = (
-    "disabled",
-    "below_auto_threshold",
-    "plan_refused",
-    "toolchain_missing",
-    "compile_error",
-)
-
-
-def count_fallback(reason: str) -> None:
-    """Bump ``kernel_fallback_total{reason=...}`` in the process-global
-    metrics registry."""
-    from repro.obs.metrics import get_registry
-
-    get_registry().counter(
-        "kernel_fallback_total",
-        "native/kernel fast-path fallbacks by reason",
-        labels={"reason": reason},
-    ).inc()
 
 
 def generate_tu(sim, plan=None) -> str:
@@ -84,26 +59,3 @@ def generate_tu(sim, plan=None) -> str:
 
         plan = plan_kernels(sim.cm)
     return generate_program(sim, plan).source
-
-
-def build_native_path(sim, plan=None) -> NativePath:
-    """Lower, compile (or reuse the cached artifact), and load the
-    native executor for ``sim``.
-
-    Raises :class:`NativeLoweringError` when the model refuses to lower
-    and :class:`ToolchainError` when no compiler is present or the
-    compile fails.  The caller (``Simulator._bind_native``) maps those
-    onto the fallback ladder.
-    """
-    import numpy as np
-
-    if plan is None:
-        from repro.model.kernels import plan_kernels
-
-        plan = plan_kernels(sim.cm)
-    program = generate_program(sim, plan)
-    so_path = ensure_compiled(program.source, doc_hash_for(sim))
-    if not isinstance(sim.signals, np.ndarray):
-        # the extension borrows this buffer; scalar list -> ndarray
-        sim.signals = np.ascontiguousarray(sim.signals, dtype=np.float64)
-    return NativePath(program, so_path, sim.signals, sim.x)

@@ -1,12 +1,11 @@
 """Loading and driving a compiled native step-loop extension.
 
-The primary loader is cffi (``FFI.dlopen`` against the four ``nx_*``
-symbols); when cffi is absent the plain-stdlib ctypes fallback loads
-the same shared object.  Either way the extension *borrows* the
-engine's numpy buffers — ``nx_bind`` receives raw ``double*`` views of
-``sim.signals`` / ``sim.x``, so every value the C loop writes is
-immediately visible to Python (co-simulation taps, scope logging, the
-step hook) without copies.
+The stdlib ctypes loader opens the shared object and types its four
+``nx_*`` symbols.  The extension *borrows* the engine's numpy buffers —
+``nx_bind`` receives raw ``double*`` views of ``sim.signals`` /
+``sim.x``, so every value the C loop writes is immediately visible to
+Python (co-simulation taps, scope logging, the step hook) without
+copies.
 """
 
 from __future__ import annotations
@@ -15,44 +14,6 @@ import ctypes
 from typing import Optional
 
 import numpy as np
-
-_CDEF = """
-void nx_bind(double *sigs, double *states, const double *dwork_init);
-void nx_out_major(long long step);
-void nx_finish(long long step);
-void nx_run(long long start, long long n, double *scope_out,
-            double *trace_out);
-"""
-
-
-class _CffiLib:
-    def __init__(self, so_path: str):
-        from cffi import FFI
-
-        self._ffi = FFI()
-        self._ffi.cdef(_CDEF)
-        self._lib = self._ffi.dlopen(so_path)
-
-    def _ptr(self, arr: Optional[np.ndarray]):
-        if arr is None:
-            return self._ffi.NULL
-        return self._ffi.cast("double *", self._ffi.from_buffer(arr))
-
-    def bind(self, sigs, states, dwork_init):
-        self._lib.nx_bind(
-            self._ptr(sigs), self._ptr(states), self._ptr(dwork_init)
-        )
-
-    def out_major(self, step: int):
-        self._lib.nx_out_major(step)
-
-    def finish(self, step: int):
-        self._lib.nx_finish(step)
-
-    def run(self, start: int, n: int, scope_out, trace_out):
-        self._lib.nx_run(
-            start, n, self._ptr(scope_out), self._ptr(trace_out)
-        )
 
 
 class _CtypesLib:
@@ -90,14 +51,6 @@ class _CtypesLib:
         self._lib.nx_run(start, n, self._ptr(scope_out), self._ptr(trace_out))
 
 
-def load_library(so_path: str):
-    """cffi when available, ctypes otherwise — identical duck type."""
-    try:
-        return _CffiLib(so_path)
-    except ImportError:
-        return _CtypesLib(so_path)
-
-
 class NativePath:
     """A bound native executor for one simulator's buffers.
 
@@ -110,7 +63,7 @@ class NativePath:
                  states: Optional[np.ndarray]):
         self.program = program
         self.so_path = so_path
-        self._lib = load_library(so_path)
+        self._lib = _CtypesLib(so_path)
         self._sigs = signals
         self._states = states if program.n_states else None
         self._dwork = (

@@ -111,7 +111,6 @@ class SimServe:
         store_capacity: int = 256,
         autostart: bool = True,
         coalesce: Union[bool, CoalesceConfig, None] = None,
-        array_backend: Optional[str] = None,
         flight=None,
         waterfall: bool = True,
         ops_port: Optional[int] = None,
@@ -127,14 +126,6 @@ class SimServe:
             coalesce_cfg = None
         else:
             coalesce_cfg = coalesce
-        # array seam: validate up front (raises BackendUnavailable with an
-        # actionable message) and make it the process-wide default so
-        # thread workers — and, via the pool initializer, process-pool
-        # children — all simulate on the same array library
-        if array_backend is not None:
-            from repro.model.array_backend import set_array_backend
-
-            set_array_backend(array_backend)
         # black-box flight recorder: None/True = the process-global
         # recorder, False = disabled, or a private FlightRecorder instance
         if flight is False:
@@ -159,7 +150,6 @@ class SimServe:
             self.metrics,
             n_workers=workers,
             backend=backend,
-            array_backend=array_backend,
             flight=self.flight,
             waterfall=waterfall,
         )

@@ -343,17 +343,10 @@ def _native_env_snapshot() -> dict:
     return {k: os.environ[k] for k in _NATIVE_ENV_KEYS if k in os.environ}
 
 
-def _process_init(
-    array_backend: Optional[str] = None,
-    native_env: Optional[dict] = None,
-) -> None:
-    """Child-process initializer: propagate the array-backend choice and
-    the parent's native-path environment (children then dlopen cached
-    artifacts instead of recompiling)."""
-    if array_backend:
-        from repro.model.array_backend import set_array_backend
-
-        set_array_backend(array_backend)
+def _process_init(native_env: Optional[dict] = None) -> None:
+    """Child-process initializer: propagate the parent's native-path
+    environment (children then dlopen cached artifacts instead of
+    recompiling)."""
     for key, value in (native_env or {}).items():
         os.environ.setdefault(key, value)
 
@@ -372,7 +365,6 @@ class WorkerPool:
         metrics,
         n_workers: int = 2,
         backend: str = "thread",
-        array_backend: Optional[str] = None,
         flight=None,
         waterfall: bool = True,
     ):
@@ -386,9 +378,6 @@ class WorkerPool:
         self.metrics = metrics
         self.n_workers = n_workers
         self.backend = backend
-        #: array-backend name shipped to process-pool children (thread
-        #: workers read the process-wide default directly)
-        self.array_backend = array_backend
         #: black-box flight recorder (pass NULL_RECORDER to disable)
         self.flight = flight if flight is not None else get_flight_recorder()
         #: collect per-phase latency marks on every job
@@ -432,7 +421,7 @@ class WorkerPool:
         return ProcessPoolExecutor(
             max_workers=self.n_workers,
             initializer=_process_init,
-            initargs=(self.array_backend, _native_env_snapshot()),
+            initargs=(_native_env_snapshot(),),
         )
 
     def health(self) -> dict:
