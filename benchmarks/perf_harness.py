@@ -16,8 +16,8 @@ speed, the default gate uses machine-portable quantities:
   speedup over the recorded pre-optimization seed interpreter is
   structural, not hardware, so a collapse means a real regression;
 * **calibrated absolutes** — every throughput is also recorded
-  normalized by a fixed pure-Python spin loop timed in the same run,
-  which cancels most of the host-speed difference.
+  normalized by a fixed pure-Python spin loop timed right before its
+  leg, which cancels most of the host-speed difference.
 
 ``--strict-absolute`` additionally gates the raw per-second numbers
 (useful when the baseline was produced on the same machine).
@@ -830,18 +830,22 @@ _NORMALIZED = [
 
 
 def measure(workers: int, only: list[str] | None = None) -> dict:
-    cal = _calibrate()
-    report = {"schema": 1, "calibration_spin_s": cal}
+    spins: dict[str, float] = {}
+    report = {"schema": 1, "calibration_spin_s": spins}
     for name, fn in BENCHES.items():
         if only and name not in only:
             continue
         # start every leg from a collected heap, so one leg's garbage is
         # not collected on a later leg's clock
         gc.collect()
+        # time the spin right before the leg it normalizes: a shared vCPU
+        # changes speed over a run, and one spin at the start would gate
+        # later legs on the host's speed state rather than on the code
+        spins[name] = _calibrate()
         report[name] = fn(workers)
-    # machine-portable forms: throughput x spin-time (per-spin units)
+    # machine-portable forms: throughput x the leg's own spin-time
     report["normalized"] = {
-        key: report[section][field] * cal
+        key: report[section][field] * spins[section]
         for key, section, field in _NORMALIZED
         if section in report and field in report[section]
     }

@@ -31,7 +31,7 @@ import urllib.request
 from pathlib import Path
 
 from repro.casestudy import build_servo_model
-from repro.obs.flight import FlightRecorder, load_flight_dump
+from repro.obs import FlightRecorder, load_trace, validate
 from repro.obs.report import build_report, load_ops_input, render_html
 from repro.service import JobPriority, JobState, MILRequest, SimServe
 
@@ -98,11 +98,13 @@ def main(argv=None) -> int:
     # --- post-mortem: the shed auto-dumped a black box ----------------
     assert flight.trigger_counts.get("deadline_shed") == 1
     dump = flight.dumps[0]
-    events = load_flight_dump(dump)
+    events = load_trace(dump)  # a flight dump is an ordinary trace
+    problems = validate(events)
     sheds = [e for e in events if e["name"] == "job.finish"
              and e["args"]["state"] == "expired"]
     print(f"flight dump: {Path(dump).name} ({len(events)} events, "
-          f"{len(sheds)} shed job)")
+          f"{len(sheds)} shed job, validation "
+          f"{'ok' if not problems else 'FAILED'})")
 
     report = build_report(load_ops_input(dump))
     print(f"ops report from the dump alone: jobs={report['jobs']}, "
@@ -116,6 +118,10 @@ def main(argv=None) -> int:
 
     if report["jobs"]["shed"] != 1 or not sheds:
         print("FAIL: the deadline shed did not reach the flight dump",
+              file=sys.stderr)
+        return 1
+    if problems:
+        print(f"FAIL: the flight dump is not a valid trace: {problems}",
               file=sys.stderr)
         return 1
     return 0

@@ -355,35 +355,6 @@ class FaultCampaign:
         return outcomes  # type: ignore[return-value]
 
 
-def _run_cell_task(
-    campaign: FaultCampaign, intensity: float, reliable: bool
-) -> CampaignOutcome:
-    """Module-level worker entry point (bound methods do not pickle
-    portably across start methods)."""
-    return campaign.run_cell(intensity, reliable)
-
-
-def _run_cell_task_traced(
-    campaign: FaultCampaign,
-    intensity: float,
-    reliable: bool,
-    parent_id: Optional[str],
-    capacity: int,
-    step_stride: int,
-):
-    """Worker entry point for traced sweeps: runs the cell under a fresh
-    capture tracer whose spans attach to the submitting ``campaign.run``
-    span, and ships the events back for the parent to ingest (a forked
-    child's global tracer buffer would otherwise be lost)."""
-    from repro.obs.trace import Tracer, use_tracer
-
-    local = Tracer(capacity=capacity, enabled=True, step_stride=step_stride)
-    with use_tracer(local):
-        with local.attach(parent_id):
-            outcome = campaign.run_cell(intensity, reliable)
-    return outcome, local.events()
-
-
 def _run_chunk_task(
     campaign: FaultCampaign, chunk: list
 ) -> list[CampaignOutcome]:

@@ -408,21 +408,6 @@ class Simulator:
                 k += 1
             xdot[off : off + n] = block.derivatives(t, u, ctx)
 
-    # legacy shims kept for callers/tests poking at the interpreter
-    def _output_pass(self, t: float, minor: bool) -> None:
-        if minor:
-            self._out_minor(t)
-        else:
-            self._out_major(t, self.step_index)
-
-    def _update_pass(self, t: float) -> None:
-        self._update(t, self.step_index)
-
-    def _derivatives(self, t: float) -> np.ndarray:
-        xdot = np.zeros(self.cm.n_states)
-        self._deriv(t, xdot)
-        return xdot
-
     # ------------------------------------------------------------------
     # stepping
     # ------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .flight import (
     FlightRecorder,
     configure_flight,
     get_flight_recorder,
-    load_flight_dump,
 )
 from .manifest import RunManifest
 from .metrics import (
@@ -34,7 +33,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    SnapshotTicker,
     get_registry,
 )
 from .report import build_report, load_ops_input, render_html, render_text
@@ -53,7 +51,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SnapshotTicker",
     "DEFAULT_BUCKETS",
     "get_registry",
     "RunManifest",
@@ -66,7 +63,6 @@ __all__ = [
     "NULL_RECORDER",
     "get_flight_recorder",
     "configure_flight",
-    "load_flight_dump",
     "OpsServer",
     "load_ops_input",
     "build_report",

@@ -1,28 +1,26 @@
-"""Black-box flight recorder: always-on, bounded, auto-dumping.
+"""Black-box flight recorder: an always-on, auto-dumping :class:`Tracer`.
 
 The user-facing :class:`~repro.obs.trace.Tracer` is *opt-in* — it stays
 disabled unless someone is actively profiling, so when a worker crashes
-at 3am there is nothing to look at.  The flight recorder is the
-complement: a **cheap, always-on** ring of recent operational events
-(job lifecycle edges, phase waterfalls, link recoveries) that costs a
-dict append per event and is independent of the tracer's enable state.
+at 3am there is nothing to look at.  The flight recorder is the same
+ring kept **always enabled**: a small, separate :class:`Tracer` holding
+recent operational instants (job lifecycle edges, phase waterfalls,
+link recoveries), independent of the global tracer's enable state.
 
 On a *trigger event* — worker crash, deadline shed, job exception,
-watchdog reset, campaign interrupt — the recorder snapshots the ring to
-a JSONL dump (plus a manifest sidecar pinning the trigger, code state
-and library versions) so the minutes leading up to the failure survive
-the process.  Dumps are rate-limited and capped so a crash loop cannot
-fill a disk.
+watchdog reset, campaign interrupt — the recorder exports the ring with
+:meth:`Tracer.export_jsonl` (plus the usual
+:class:`~repro.obs.manifest.RunManifest` sidecar, whose ``config``
+carries the trigger reason, trigger args and per-reason counts) so the
+minutes leading up to the failure survive the process.  Dumps are
+rate-limited and capped so a crash loop cannot fill a disk.
 
-Event schema (one JSON object per line in a dump)::
-
-    {"ts": <monotonic s since recorder epoch>, "wall": <unix time>,
-     "name": "job.finish", "cat": "service", "sim_t": null,
-     "pid": 1234, "tid": 5678, "args": {...}}
-
-``job.finish`` events carry the job's full phase waterfall in
-``args["phases"]`` — a flight dump alone reconstructs what every recent
-job spent in queue/coalesce/cache/run/demux/store
+Events use the tracer schema (``ph == "i"`` instants), so a dump loads
+with :func:`~repro.obs.trace.load_trace` and summarizes, validates and
+converts like any trace.  ``job.finish`` instants carry the job's full
+phase waterfall in ``args["phases"]`` — a flight dump alone
+reconstructs what every recent job spent in
+queue/coalesce/cache/run/demux/store
 (``python -m repro.obs report dump.jsonl``).
 
 A process-wide recorder (:func:`get_flight_recorder`) is shared by the
@@ -33,12 +31,11 @@ alternatively carry a private recorder (``SimServe(flight=...)``).
 
 from __future__ import annotations
 
-import json
 import os
-import threading
 import time
-from collections import deque
 from typing import Optional
+
+from .trace import Tracer
 
 __all__ = [
     "FlightRecorder",
@@ -69,8 +66,8 @@ TRIGGER_REASONS = (
 ENV_FLIGHT_DIR = "REPRO_FLIGHT_DIR"
 
 
-class FlightRecorder:
-    """Bounded, thread-safe black-box event ring with trigger dumps."""
+class FlightRecorder(Tracer):
+    """Always-enabled tracer ring with rate-limited trigger dumps."""
 
     def __init__(
         self,
@@ -80,70 +77,17 @@ class FlightRecorder:
         max_dumps: int = DEFAULT_MAX_DUMPS,
         min_dump_interval_s: float = DEFAULT_MIN_DUMP_INTERVAL_S,
     ):
-        if capacity < 1:
-            raise ValueError("flight-recorder capacity must be >= 1")
-        self.capacity = int(capacity)
-        self.enabled = bool(enabled)
+        super().__init__(capacity=capacity, enabled=enabled)
         self.dump_dir = os.fspath(dump_dir) if dump_dir is not None else None
         self.max_dumps = int(max_dumps)
         self.min_dump_interval_s = float(min_dump_interval_s)
-        self._buf: deque = deque(maxlen=self.capacity)
-        self._lock = threading.Lock()
-        self._t0 = time.monotonic()
-        self.dropped_events = 0
         self.trigger_counts: dict[str, int] = {}
         self.dumps: list[str] = []
         self._last_dump_at: Optional[float] = None
         self._dump_seq = 0
-        self.pid = os.getpid()
 
-    # ------------------------------------------------------------------
-    # recording
-    # ------------------------------------------------------------------
-    def record(
-        self,
-        name: str,
-        cat: str = "service",
-        args: Optional[dict] = None,
-        sim_t: Optional[float] = None,
-    ) -> None:
-        """Append one event to the ring (a dict build + deque append)."""
-        if not self.enabled:
-            return
-        event = {
-            "ts": time.monotonic() - self._t0,
-            "wall": time.time(),
-            "name": name,
-            "cat": cat,
-            "sim_t": sim_t,
-            "pid": self.pid,
-            "tid": threading.get_ident(),
-            "args": args if args is not None else {},
-        }
-        with self._lock:
-            if len(self._buf) == self.capacity:
-                self.dropped_events += 1
-            self._buf.append(event)
-
-    def events(self) -> list[dict]:
-        """Snapshot of the ring, oldest first."""
-        with self._lock:
-            return list(self._buf)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._buf)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._buf.clear()
-            self.dropped_events = 0
-
-    # ------------------------------------------------------------------
-    # triggers + dumping
-    # ------------------------------------------------------------------
     def trigger(self, reason: str, args: Optional[dict] = None) -> Optional[str]:
-        """Record a trigger event and auto-dump the ring.
+        """Record a ``flight.trigger.<reason>`` instant and auto-dump.
 
         Returns the dump path, or ``None`` when no dump was written
         (recorder disabled, no ``dump_dir`` configured, rate-limited, or
@@ -152,72 +96,50 @@ class FlightRecorder:
         """
         if not self.enabled:
             return None
+        now = time.monotonic()
+        seq = None
         with self._lock:
             self.trigger_counts[reason] = self.trigger_counts.get(reason, 0) + 1
-        self.record(f"flight.trigger.{reason}", cat="flight", args=args)
-        if self.dump_dir is None:
-            return None
-        now = time.monotonic()
-        with self._lock:
-            if len(self.dumps) >= self.max_dumps:
-                return None
             if (
-                self._last_dump_at is not None
-                and now - self._last_dump_at < self.min_dump_interval_s
+                self.dump_dir is not None
+                and self._dump_seq < self.max_dumps
+                and (
+                    self._last_dump_at is None
+                    or now - self._last_dump_at >= self.min_dump_interval_s
+                )
             ):
-                return None
-            self._last_dump_at = now
-            self._dump_seq += 1
-            seq = self._dump_seq
-        path = os.path.join(
-            self.dump_dir, f"flight-{self.pid}-{seq:03d}-{reason}.jsonl"
-        )
-        return self._write_dump(path, reason, args)
+                # reserve the slot under the lock, so concurrent triggers
+                # cannot overrun the cap before their dumps land
+                self._last_dump_at = now
+                seq = self._dump_seq = self._dump_seq + 1
+        self.instant(f"flight.trigger.{reason}", cat="flight", args=args)
+        return None if seq is None else self._dump(seq, reason, args)
 
     def dump(self, path: Optional[str] = None, reason: str = "manual") -> str:
         """Write the ring to ``path`` (or an auto-named file under
         ``dump_dir`` / the current directory) unconditionally."""
+        with self._lock:
+            seq = self._dump_seq = self._dump_seq + 1
+        return self._dump(seq, reason, None, path)
+
+    def _dump(self, seq: int, reason: str, args: Optional[dict], path=None) -> str:
         if path is None:
-            with self._lock:
-                self._dump_seq += 1
-                seq = self._dump_seq
             path = os.path.join(
                 self.dump_dir or ".", f"flight-{self.pid}-{seq:03d}-{reason}.jsonl"
             )
-        return self._write_dump(os.fspath(path), reason, None)
-
-    def _write_dump(self, path: str, reason: str, args: Optional[dict]) -> str:
+        path = os.fspath(path)
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        events = self.events()
-        with open(path, "w") as fh:
-            for ev in events:
-                fh.write(json.dumps(ev, default=str) + "\n")
-        manifest = {
+        with self._lock:
+            counts = dict(self.trigger_counts)
+        self.export_jsonl(path, config={
             "kind": "flight-dump",
             "reason": reason,
             "trigger_args": args or {},
-            "events": len(events),
-            "dropped_events": self.dropped_events,
-            "capacity": self.capacity,
-            "trigger_counts": dict(self.trigger_counts),
-            "wall_time": time.time(),
-            "pid": self.pid,
-        }
-        try:
-            from .manifest import RunManifest
-
-            manifest["run"] = RunManifest.collect(config=None).as_dict()
-        except Exception:  # manifest collection must never block a dump
-            pass
-        with open(path + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, default=str)
+            "trigger_counts": counts,
+        })
         with self._lock:
             self.dumps.append(path)
         return path
-
-    def to_jsonl(self) -> str:
-        """The ring as JSONL text (what the ``/flight`` endpoint serves)."""
-        return "".join(json.dumps(ev, default=str) + "\n" for ev in self.events())
 
     def stats(self) -> dict:
         with self._lock:
@@ -231,20 +153,9 @@ class FlightRecorder:
                 "trigger_counts": dict(self.trigger_counts),
             }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<FlightRecorder {len(self)}/{self.capacity} events, "
-            f"{len(self.dumps)} dumps>"
-        )
-
 
 #: a permanently disabled recorder — what ``SimServe(flight=False)`` uses
-class _NullFlightRecorder(FlightRecorder):
-    def __init__(self):
-        super().__init__(capacity=1, enabled=False)
-
-
-NULL_RECORDER = _NullFlightRecorder()
+NULL_RECORDER = FlightRecorder(capacity=1, enabled=False)
 
 
 # ---------------------------------------------------------------------------
@@ -265,30 +176,17 @@ def configure_flight(
     max_dumps: Optional[int] = None,
     min_dump_interval_s: Optional[float] = None,
 ) -> FlightRecorder:
-    """Reconfigure the global recorder in place and return it.
-
-    Changing ``capacity`` rebuilds the ring (newest events kept).
-    """
+    """Reconfigure the global recorder in place and return it
+    (``capacity`` goes through :meth:`Tracer.resize`)."""
     fr = _GLOBAL
-    with fr._lock:
-        if capacity is not None and capacity != fr.capacity:
-            if capacity < 1:
-                raise ValueError("flight-recorder capacity must be >= 1")
-            old = list(fr._buf)
-            fr.capacity = int(capacity)
-            fr._buf = deque(old[-capacity:], maxlen=capacity)
-        if dump_dir is not None:
-            fr.dump_dir = os.fspath(dump_dir)
-        if enabled is not None:
-            fr.enabled = bool(enabled)
-        if max_dumps is not None:
-            fr.max_dumps = int(max_dumps)
-        if min_dump_interval_s is not None:
-            fr.min_dump_interval_s = float(min_dump_interval_s)
+    if capacity is not None:
+        fr.resize(capacity)
+    if dump_dir is not None:
+        fr.dump_dir = os.fspath(dump_dir)
+    if enabled is not None:
+        fr.enabled = bool(enabled)
+    if max_dumps is not None:
+        fr.max_dumps = int(max_dumps)
+    if min_dump_interval_s is not None:
+        fr.min_dump_interval_s = float(min_dump_interval_s)
     return fr
-
-
-def load_flight_dump(path) -> list[dict]:
-    """Load a flight-recorder JSONL dump back into event dicts."""
-    with open(os.fspath(path)) as fh:
-        return [json.loads(line) for line in fh if line.strip()]

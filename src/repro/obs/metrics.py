@@ -12,8 +12,7 @@ dependency-free.
   Prometheus shape) *plus* a bounded reservoir of recent observations
   for the percentile snapshot the service dashboards already consume;
 * :class:`MetricsRegistry` — named metric directory with a JSON-ready
-  :meth:`~MetricsRegistry.snapshot`, a Prometheus text exporter and a
-  periodic snapshot API (:meth:`~MetricsRegistry.start_snapshots`).
+  :meth:`~MetricsRegistry.snapshot` and a Prometheus text exporter.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SnapshotTicker",
     "DEFAULT_BUCKETS",
     "get_registry",
 ]
@@ -329,57 +327,6 @@ class MetricsRegistry:
                 lines.append(f"{pname}_sum {_prom_float(b['sum'])}")
                 lines.append(f"{pname}_count {b['count']}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    # ------------------------------------------------------------------
-    def start_snapshots(
-        self,
-        interval_s: float,
-        callback: Callable[[dict], None],
-    ) -> "SnapshotTicker":
-        """Deliver :meth:`snapshot` to ``callback`` every ``interval_s``
-        seconds on a daemon thread until the returned ticker is
-        stopped."""
-        ticker = SnapshotTicker(self, interval_s, callback)
-        ticker.start()
-        return ticker
-
-
-class SnapshotTicker:
-    """Periodic snapshot pump (daemon thread; ``stop()`` to end)."""
-
-    def __init__(self, registry: MetricsRegistry, interval_s: float, callback):
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        self.registry = registry
-        self.interval_s = interval_s
-        self.callback = callback
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(
-            target=self._run, name="obs-snapshots", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            self.callback(self.registry.snapshot())
-
-    def stop(self, wait: bool = True) -> None:
-        self._stop.set()
-        if wait and self._thread is not None:
-            self._thread.join()
-
-    def __enter__(self) -> "SnapshotTicker":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
 
 # ---------------------------------------------------------------------------
 # the process-wide registry (engine counters, link ledgers, ...)

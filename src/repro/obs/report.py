@@ -7,10 +7,12 @@ the two ops-plane artifacts into one HTML page (or a JSON summary):
   :meth:`repro.service.metrics.ServiceMetrics.snapshot` (e.g. saved from
   ``/statusz`` or ``python -m repro.service --json``), whose
   ``waterfall`` section already carries per-phase percentiles;
-* a **flight-recorder dump** — the JSONL written on a trigger event;
-  the per-job ``job.finish`` events carry raw phase durations, so the
-  report recomputes the waterfall from the black box alone (this is how
-  a crash that took the process down is profiled post-mortem).
+* a **flight-recorder dump** — the JSONL trace written on a trigger
+  event (or its Chrome conversion; both load through
+  :func:`~repro.obs.trace.load_trace`); the per-job ``job.finish``
+  instants carry raw phase durations, so the report recomputes the
+  waterfall from the black box alone (this is how a crash that took the
+  process down is profiled post-mortem).
 
 The phase taxonomy matches the paper's E3 profiling decomposition: the
 MIL/PIL experiments split a control period into stage timings; SimServe
@@ -21,7 +23,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Optional
+from typing import Iterable
+
+from .trace import load_trace
 
 __all__ = ["load_ops_input", "build_report", "render_html", "render_text"]
 
@@ -37,18 +41,17 @@ def _phase_sort_key(name: str) -> tuple:
 
 
 def load_ops_input(path) -> dict:
-    """Load a snapshot JSON or a flight JSONL, tagging which it was."""
+    """Load a snapshot JSON or a flight dump (any :func:`load_trace`
+    format), tagging which it was."""
     path = os.fspath(path)
     with open(path) as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-        if isinstance(doc, dict):
-            return {"kind": "snapshot", "snapshot": doc, "path": path}
-    except json.JSONDecodeError:
-        pass
-    events = [json.loads(line) for line in text.splitlines() if line.strip()]
-    return {"kind": "flight", "events": events, "path": path}
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError:
+            doc = None  # JSONL
+    if isinstance(doc, dict) and "traceEvents" not in doc and "ph" not in doc:
+        return {"kind": "snapshot", "snapshot": doc, "path": path}
+    return {"kind": "flight", "events": load_trace(path), "path": path}
 
 
 def _percentile(sorted_vals: list, q: float) -> float:
@@ -269,12 +272,3 @@ def render_html(report: dict, title: str = "SimServe ops report") -> str:
         + "</body></html>"
     )
 
-
-def write_report(input_path, output_path: Optional[str] = None) -> str:
-    """Convenience: INPUT -> HTML file; returns the path written."""
-    report = build_report(load_ops_input(input_path))
-    if output_path is None:
-        output_path = os.fspath(input_path) + ".report.html"
-    with open(os.fspath(output_path), "w") as fh:
-        fh.write(render_html(report))
-    return os.fspath(output_path)

@@ -30,7 +30,12 @@ lock are rebuilt empty on the far side.
 Exporters: :meth:`Tracer.export_jsonl` (one JSON object per line) and
 :meth:`Tracer.export_chrome` (Chrome ``chrome://tracing`` / Perfetto
 trace-event JSON).  Both write a :class:`~repro.obs.manifest.RunManifest`
-next to the trace unless told otherwise.
+next to the trace unless told otherwise; its ``tracer_stats`` carry the
+ring's wall-clock epoch (``epoch_wall``), so ``ts`` maps back to Unix
+time without a per-event wall stamp.
+
+The always-on flight recorder (:mod:`repro.obs.flight`) is a
+:class:`Tracer` subclass, so its dumps are ordinary JSONL traces.
 """
 
 from __future__ import annotations
@@ -99,6 +104,8 @@ class Tracer:
         self._ids = itertools.count(1)
         self._tls = threading.local()
         self._t0 = time.perf_counter()
+        #: Unix time at the ring's epoch (``ts == 0``)
+        self.epoch_wall = time.time()
         self.pid = os.getpid()
 
     # ------------------------------------------------------------------
@@ -337,21 +344,40 @@ class Tracer:
             self.dropped_events = 0
             self._overflow_noted = False
 
+    def resize(self, capacity: int) -> None:
+        """Change the ring capacity in place (newest events are kept)."""
+        if capacity < 1:
+            raise ValueError("tracer capacity must be >= 1")
+        with self._lock:
+            if capacity != self.capacity:
+                self.capacity = int(capacity)
+                self._buf = deque(self._buf, maxlen=self.capacity)
+                self._overflow_noted = False
+
+    @staticmethod
+    def _jsonl(events: list) -> str:
+        return "".join(json.dumps(ev, default=str) + "\n" for ev in events)
+
+    def to_jsonl(self) -> str:
+        """The buffered events as JSONL text."""
+        return self._jsonl(self.events())
+
     def export_jsonl(self, path, manifest: bool = True, config: Optional[dict] = None) -> str:
         """Write one JSON object per line; returns the path written."""
         path = os.fspath(path)
+        events = self.events()
         with open(path, "w") as fh:
-            for ev in self.events():
-                fh.write(json.dumps(ev) + "\n")
+            fh.write(self._jsonl(events))
         if manifest:
-            self._write_manifest(path, config)
+            self._write_manifest(path, config, len(events))
         return path
 
     def export_chrome(self, path, manifest: bool = True, config: Optional[dict] = None) -> str:
         """Write Chrome/Perfetto trace-event JSON; returns the path."""
         path = os.fspath(path)
+        events = self.events()
         out = []
-        for ev in self.events():
+        for ev in events:
             args = dict(ev.get("args") or {})
             if ev.get("sim_t") is not None:
                 args["sim_t"] = ev["sim_t"]
@@ -377,18 +403,19 @@ class Tracer:
         with open(path, "w") as fh:
             json.dump(doc, fh)
         if manifest:
-            self._write_manifest(path, config)
+            self._write_manifest(path, config, len(events))
         return path
 
-    def _write_manifest(self, trace_path: str, config: Optional[dict]) -> None:
+    def _write_manifest(self, trace_path: str, config: Optional[dict], events: int) -> None:
         from .manifest import RunManifest
 
         RunManifest.collect(
             config=config,
             tracer_stats={
-                "events": len(self),
+                "events": events,
                 "dropped_events": self.dropped_events,
                 "capacity": self.capacity,
+                "epoch_wall": self.epoch_wall,
             },
         ).write_next_to(trace_path)
 
@@ -422,24 +449,17 @@ def configure(
 ) -> Tracer:
     """Reconfigure the global tracer in place and return it.
 
-    Changing ``capacity`` rebuilds the ring buffer (existing events are
-    kept, newest-first, up to the new capacity).
+    Changing ``capacity`` goes through :meth:`Tracer.resize`.
     """
     tr = _GLOBAL
-    with tr._lock:
-        if capacity is not None and capacity != tr.capacity:
-            if capacity < 1:
-                raise ValueError("tracer capacity must be >= 1")
-            old = list(tr._buf)
-            tr.capacity = int(capacity)
-            tr._buf = deque(old[-capacity:], maxlen=capacity)
-            tr._overflow_noted = False
-        if step_stride is not None:
-            if step_stride < 1:
-                raise ValueError("step_stride must be >= 1")
-            tr.step_stride = int(step_stride)
-        if enabled is not None:
-            tr.enabled = bool(enabled)
+    if step_stride is not None and step_stride < 1:
+        raise ValueError("step_stride must be >= 1")
+    if capacity is not None:
+        tr.resize(capacity)
+    if step_stride is not None:
+        tr.step_stride = int(step_stride)
+    if enabled is not None:
+        tr.enabled = bool(enabled)
     return tr
 
 

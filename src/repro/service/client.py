@@ -396,20 +396,4 @@ class SimServe:
         job.mark_queue_phases()
         self.store.put(JobRecord.from_job(job))
         self.metrics.on_finish(job)
-        if self.flight.enabled:
-            self.flight.record("job.finish", cat="service", args={
-                "job": job.id,
-                "kind": job.kind,
-                "state": job.state.value,
-                "priority": int(job.priority),
-                "cache_hit": job.cache_hit,
-                "error": job.error,
-                "total_s": job.total_s(),
-                "phases": dict(job.phase_s),
-            })
-            if job.state is JobState.EXPIRED:
-                self.flight.trigger("deadline_shed", args={
-                    "job": job.id,
-                    "deadline_s": job.deadline_s,
-                    "waited_s": job.total_s(),
-                })
+        self.pool._record_finish(job)

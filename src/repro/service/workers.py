@@ -523,13 +523,14 @@ class WorkerPool:
         job.done_event.set()
 
     def _record_finish(self, job: Job, crashed: bool = False) -> None:
-        """Black-box bookkeeping for one terminal job: always record the
-        ``job.finish`` event; crash/exception states also fire a flight
-        trigger (which auto-dumps when a dump dir is configured)."""
+        """Black-box bookkeeping for one terminal job — run or skipped by
+        the queue: always record the ``job.finish`` event; crash,
+        exception and deadline-shed states also fire a flight trigger
+        (which auto-dumps when a dump dir is configured)."""
         flight = self.flight
         if not flight.enabled:
             return
-        flight.record("job.finish", cat="service", args={
+        flight.instant("job.finish", cat="service", args={
             "job": job.id,
             "kind": job.kind,
             "state": job.state.value,
@@ -543,6 +544,12 @@ class WorkerPool:
             flight.trigger("worker_crash", args={"job": job.id, "error": job.error})
         elif job.state is JobState.FAILED:
             flight.trigger("job_exception", args={"job": job.id, "error": job.error})
+        elif job.state is JobState.EXPIRED:
+            flight.trigger("deadline_shed", args={
+                "job": job.id,
+                "deadline_s": job.deadline_s,
+                "waited_s": job.total_s(),
+            })
 
     def _run_in_process(self, job: Job) -> Tuple[dict, Any, bool]:
         with self._proc_lock:
@@ -562,8 +569,8 @@ class WorkerPool:
             except BrokenProcessPool:
                 # hard child crash: rebuild the pool so later jobs survive
                 self.crash_count += 1
-                self.flight.record("worker.crash", cat="service",
-                                   args={"job": job.id, "backend": "process"})
+                self.flight.instant("worker.crash", cat="service",
+                                    args={"job": job.id, "backend": "process"})
                 tracer = get_tracer()
                 if tracer.enabled:
                     tracer.instant("service.worker_crash", cat="service",
@@ -679,7 +686,7 @@ class WorkerPool:
                     raise JobCancelled()
             except BrokenProcessPool:
                 self.crash_count += 1
-                self.flight.record("worker.crash", cat="service", args={
+                self.flight.instant("worker.crash", cat="service", args={
                     "jobs": [j.id for j in members], "backend": "process",
                 })
                 tracer = get_tracer()

@@ -159,38 +159,3 @@ class TestRegistry:
 
     def test_empty_registry_exports_empty(self):
         assert MetricsRegistry().prometheus_text() == ""
-
-
-class TestSnapshotTicker:
-    def test_delivers_snapshots_until_stopped(self):
-        reg = MetricsRegistry()
-        reg.counter("ticks").inc(5)
-        got = []
-        seen_two = threading.Event()
-
-        def sink(snap):
-            got.append(snap)
-            if len(got) >= 2:
-                seen_two.set()
-
-        ticker = reg.start_snapshots(0.01, sink)
-        assert seen_two.wait(2.0)
-        ticker.stop()
-        n_at_stop = len(got)
-        assert got[0]["ticks"] == 5.0
-        # no further deliveries after stop
-        threading.Event().wait(0.05)
-        assert len(got) == n_at_stop
-
-    def test_context_manager(self):
-        reg = MetricsRegistry()
-        got = []
-        first = threading.Event()
-        with reg.start_snapshots(0.01, lambda s: (got.append(s), first.set())):
-            assert first.wait(2.0)
-        assert got
-
-    def test_bad_interval(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.start_snapshots(0.0, lambda s: None)

@@ -72,7 +72,7 @@ class TestOpsServer(unittest.TestCase):
 
     def test_flight_route_serves_ring(self):
         fr = FlightRecorder()
-        fr.record("job.finish", args={"job": "j9"})
+        fr.instant("job.finish", cat="service", args={"job": "j9"})
         srv = self._server(flight=fr)
         status, headers, body = _get(srv.url + "/flight")
         self.assertEqual(status, 200)
@@ -85,7 +85,7 @@ class TestOpsServer(unittest.TestCase):
 
         with tempfile.TemporaryDirectory() as tmp:
             fr = FlightRecorder(dump_dir=tmp)
-            fr.record("x")
+            fr.instant("x")
             srv = OpsServer(port=0, flight=fr).start()
             try:
                 status, headers, _ = _get(srv.url + "/flight?trigger=1")

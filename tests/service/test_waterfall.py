@@ -13,7 +13,7 @@ import os
 import tempfile
 import unittest
 
-from repro.obs.flight import FlightRecorder, load_flight_dump
+from repro.obs import FlightRecorder, load_trace, validate
 from repro.obs.report import build_report, load_ops_input, render_html
 from repro.service import (
     CoalesceConfig,
@@ -126,7 +126,8 @@ class TestFlightIntegration(unittest.TestCase):
                 self.assertEqual(shed.state, JobState.EXPIRED)
             self.assertEqual(fr.trigger_counts.get("deadline_shed"), 1)
             self.assertEqual(len(fr.dumps), 1)
-            events = load_flight_dump(fr.dumps[0])
+            events = load_trace(fr.dumps[0])
+            self.assertEqual(validate(events), [])
             finishes = {e["args"]["job"]: e for e in events
                         if e["name"] == "job.finish"}
             shed_ev = finishes[shed.job_id]
@@ -154,7 +155,7 @@ class TestFlightIntegration(unittest.TestCase):
                 bad.wait(30.0)
                 self.assertEqual(bad.state, JobState.FAILED)
             self.assertEqual(fr.trigger_counts.get("job_exception"), 1)
-            events = load_flight_dump(fr.dumps[0])
+            events = load_trace(fr.dumps[0])
             finish = [e for e in events if e["name"] == "job.finish"][0]
             self.assertIn("builder exploded", finish["args"]["error"])
 
@@ -175,7 +176,11 @@ class TestFlightIntegration(unittest.TestCase):
             self.assertEqual(fr.trigger_counts.get("worker_crash"), 1)
             names = [os.path.basename(p) for p in fr.dumps]
             self.assertTrue(any("worker_crash" in n for n in names))
-            report = build_report(load_ops_input(fr.dumps[0]))
+            crash_dump = [p for p in fr.dumps if "worker_crash" in p][0]
+            events = load_trace(crash_dump)
+            self.assertEqual(validate(events), [])
+            self.assertIn("worker.crash", [e["name"] for e in events])
+            report = build_report(load_ops_input(crash_dump))
             self.assertEqual(report["triggers"].get("worker_crash"), 1)
             self.assertEqual(report["jobs"]["failed"], 1)
 
